@@ -206,7 +206,7 @@ impl SseHolders {
 fn drain_stream(mut stream: EventStream, stop: &AtomicBool) -> u64 {
     let mut events = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        match stream.next() {
+        match stream.next_item() {
             Ok(SseItem::Event(_)) => events += 1,
             Ok(SseItem::Heartbeat) => {}
             Ok(SseItem::Closed) => break,

@@ -423,7 +423,7 @@ pub fn mul_kernel_row(limbs: usize) -> MulKernelRow {
     use mathcloud_exact::BigInt;
     use mathcloud_telemetry::XorShift64;
 
-    let mut rng = XorShift64::new(0xB16_Bu64 ^ limbs as u64);
+    let mut rng = XorShift64::new(0xB16B_u64 ^ limbs as u64);
     let digits = (limbs * 9633 / 1000).max(1);
     let decimal = |rng: &mut XorShift64| {
         let mut s = String::with_capacity(digits);

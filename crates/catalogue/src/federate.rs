@@ -239,7 +239,7 @@ pub fn merge_prometheus(reports: &[TargetScrape]) -> String {
             if line.starts_with('#') {
                 continue;
             }
-            let name_end = line.find(|c| c == '{' || c == ' ').unwrap_or(line.len());
+            let name_end = line.find(['{', ' ']).unwrap_or(line.len());
             let family = family_of(&line[..name_end], &kinds);
             let sample = relabel(line, name_end, &instance);
             families.entry(family).or_default().samples.push(sample);

@@ -304,19 +304,7 @@ impl ServiceClient {
         inputs: &Value,
         timeout: Duration,
     ) -> Result<JobRepresentation, ServiceError> {
-        let stream = sse::subscribe(
-            &self.url,
-            "job.",
-            None,
-            SSE_CONNECT_TIMEOUT,
-            sse::DEFAULT_HEARTBEAT,
-        )
-        .ok();
-        let job = self.submit(inputs)?;
-        match stream {
-            Some(stream) => job.wait_streamed(stream, timeout),
-            None => job.wait(timeout),
-        }
+        self.call_inner(inputs, None, timeout)
     }
 
     /// [`ServiceClient::call`] under an `Idempotency-Key`: submit-and-wait
@@ -332,6 +320,15 @@ impl ServiceClient {
         key: &str,
         timeout: Duration,
     ) -> Result<JobRepresentation, ServiceError> {
+        self.call_inner(inputs, Some(key), timeout)
+    }
+
+    fn call_inner(
+        &self,
+        inputs: &Value,
+        idem_key: Option<&str>,
+        timeout: Duration,
+    ) -> Result<JobRepresentation, ServiceError> {
         let stream = sse::subscribe(
             &self.url,
             "job.",
@@ -340,7 +337,7 @@ impl ServiceClient {
             sse::DEFAULT_HEARTBEAT,
         )
         .ok();
-        let job = self.submit_idempotent(inputs, key)?;
+        let job = self.submit_inner(inputs, &next_request_id(), idem_key)?;
         match stream {
             Some(stream) => job.wait_streamed(stream, timeout),
             None => job.wait(timeout),

@@ -155,22 +155,13 @@ impl fmt::Debug for AdapterRegistry {
 /// Every field is optional; missing knobs take [`AutoscaleConfig`] defaults.
 /// With `"adaptive": false` (the default) only `min_workers` matters — the
 /// pool is resized to it once and left alone.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PoolConfig {
     /// Whether to run a [`mathcloud_telemetry::PoolController`] over the pool.
     pub adaptive: bool,
     /// The controller knobs (also carries `min_workers`, the fixed size used
     /// when `adaptive` is off).
     pub autoscale: AutoscaleConfig,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            adaptive: false,
-            autoscale: AutoscaleConfig::default(),
-        }
-    }
 }
 
 impl PoolConfig {

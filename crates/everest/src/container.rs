@@ -19,8 +19,11 @@ use mathcloud_telemetry::{
 
 use crate::adapter::{Adapter, AdapterContext};
 use crate::filestore::FileStore;
-use crate::jobstore::{JobStore, TransitionDetail, TransitionState, DEFAULT_COMPACT_EVERY};
+use crate::jobstore::{
+    JobStore, RecoveredJob, TransitionDetail, TransitionState, DEFAULT_COMPACT_EVERY,
+};
 use crate::memo;
+use crate::single_flight::{Claim, Key, SingleFlight};
 
 /// Default number of job handler threads ("a configurable pool of handler
 /// threads", §3.1).
@@ -160,6 +163,9 @@ struct JobRecord {
     /// ranks (oldest-settled) first.
     terminal_seq: Option<u64>,
 }
+
+/// Job records by `(service, job id)`.
+type Jobs = HashMap<(String, String), JobRecord>;
 
 /// Aggregate container statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -340,7 +346,7 @@ impl Drop for JobSender {
 struct Shared {
     name: String,
     services: RwLock<Vec<Arc<ServiceEntry>>>,
-    jobs: Mutex<HashMap<(String, String), JobRecord>>,
+    jobs: Mutex<Jobs>,
     job_done: Condvar,
     files: Arc<FileStore>,
     next_job: AtomicU64,
@@ -350,31 +356,15 @@ struct Shared {
     /// The durable job journal, when [`Everest::attach_job_journal`] armed
     /// one. `None` keeps the container fully in-memory (the default).
     store: Mutex<Option<Arc<JobStore>>>,
-    /// `(service, Idempotency-Key) → job id`: retried keyed submissions are
-    /// answered from here instead of creating a second job. Rebuilt from
-    /// the journal on recovery. `None` is a reservation — a racing
-    /// submission won the key and is creating (and fsync-journaling) its
-    /// job *outside* this lock; losers wait on [`Shared::idem_filled`] for
-    /// the id. Lock order: `idem` before `jobs` before the store, always;
-    /// the lock is never held across a journal append.
-    idem: Mutex<HashMap<(String, String), Option<String>>>,
-    /// Signalled when a reservation in [`Shared::idem`] is filled with its
-    /// job id.
-    idem_filled: Condvar,
+    /// `Idempotency-Key`s and result memo keys, each mapped to the job
+    /// answering it (see [`SingleFlight`]). Rebuilt from the journal on
+    /// recovery. Lock order: `keys` before `jobs` before the store, always;
+    /// never held across a journal append.
+    keys: SingleFlight,
     /// Result memoization switch (see [`Everest::set_result_memoization`]).
     /// Off by default: memoization changes submission semantics (a repeat
     /// of a completed request returns the *same* job), so it is opt-in.
     memo_enabled: AtomicBool,
-    /// Canonical memo key (see [`crate::memo`]) → job id. A `Some` entry
-    /// points at the job that computed (or is computing) the key's result;
-    /// `None` is a reservation exactly like [`Shared::idem`]'s — the
-    /// winning submission is creating its job outside the lock, and racing
-    /// identical submissions wait on [`Shared::memo_filled`] so N storms
-    /// coalesce onto one execution. Lock order: `idem` before `memo`
-    /// before `jobs` before the store; never held across a journal append.
-    memo: Mutex<HashMap<String, Option<String>>>,
-    /// Signalled when a reservation in [`Shared::memo`] is filled.
-    memo_filled: Condvar,
     /// Maximum terminal job records retained; `usize::MAX` (the default)
     /// keeps everything. See [`Everest::set_terminal_retention`].
     retention: AtomicUsize,
@@ -513,11 +503,8 @@ impl Everest {
             metrics: container_metrics,
             started: Instant::now(),
             store: Mutex::new(None),
-            idem: Mutex::new(HashMap::new()),
-            idem_filled: Condvar::new(),
+            keys: SingleFlight::default(),
             memo_enabled: AtomicBool::new(false),
-            memo: Mutex::new(HashMap::new()),
-            memo_filled: Condvar::new(),
             retention: AtomicUsize::new(usize::MAX),
             next_terminal: AtomicU64::new(1),
         });
@@ -660,72 +647,28 @@ impl Everest {
         }
     }
 
-    /// Submits a request: authorization, validation, job creation. Returns
-    /// the initial (WAITING) job representation immediately.
+    /// Submits a request — the one way to create a job (`POST
+    /// /services/{name}`): authorization, validation, then job creation.
+    /// Returns the initial (WAITING) job representation immediately.
+    ///
+    /// `request_id` is the originating `X-MC-Request-Id`, so the job's spans
+    /// and events correlate with the HTTP request that created it.
+    ///
+    /// With an `idem_key`, the job is created at most once per `(service,
+    /// key)`: retries — including replays of the same POST after a network
+    /// failure or a container restart, because the key is journaled with the
+    /// job — are answered with the original job, flagged
+    /// [`SubmitOutcome::deduplicated`]. With result memoization on (see
+    /// [`Everest::set_result_memoization`]) a repeat of completed or
+    /// in-flight inputs is answered with that job, flagged
+    /// [`SubmitOutcome::memo_hit`].
     ///
     /// # Errors
     ///
     /// [`SubmitRejection`] describing the failure; maps to an HTTP status
-    /// via [`SubmitRejection::status`].
-    pub fn submit(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-    ) -> Result<JobRepresentation, SubmitRejection> {
-        self.submit_traced(service, body, caller, None)
-    }
-
-    /// [`Everest::submit`] carrying the originating request id
-    /// (`X-MC-Request-Id`), so the job's spans and events correlate with the
-    /// HTTP request that created it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit`].
-    pub fn submit_traced(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-        request_id: Option<&str>,
-    ) -> Result<JobRepresentation, SubmitRejection> {
-        self.submit_idempotent(service, body, caller, request_id, None)
-            .map(|(rep, _)| rep)
-    }
-
-    /// [`Everest::submit_traced`] with an optional `Idempotency-Key`.
-    ///
-    /// A keyed submission is created at most once per `(service, key)`:
-    /// retries — including replays of the same POST after a network failure
-    /// or a container restart, because the key is journaled with the job —
-    /// are answered with the original job's representation. The boolean in
-    /// the result is `true` when the submission was deduplicated.
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit`]. Authorization and input validation run
-    /// before the key lookup, so a rejected request is rejected
+    /// via [`SubmitRejection::status`]. Authorization and input validation
+    /// run before the key lookup, so a rejected request is rejected
     /// consistently whether or not its key is already mapped.
-    pub fn submit_idempotent(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-        request_id: Option<&str>,
-        idem_key: Option<&str>,
-    ) -> Result<(JobRepresentation, bool), SubmitRejection> {
-        self.submit_full(service, body, caller, request_id, idem_key)
-            .map(|o| (o.rep, o.deduplicated))
-    }
-
-    /// [`Everest::submit_idempotent`] returning the full [`SubmitOutcome`],
-    /// including whether the submission was answered from the result memo
-    /// cache (see [`Everest::set_result_memoization`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit_idempotent`].
     pub fn submit_full(
         &self,
         service: &str,
@@ -750,73 +693,46 @@ impl Everest {
                 other => SubmitRejection::InvalidInputs(vec![other.to_string()]),
             })?;
 
-        let Some(key) = idem_key else {
-            let (rep, memo_hit) = self.create_or_memoize(service, inputs, request_id, None);
-            return Ok(SubmitOutcome {
-                rep,
-                deduplicated: false,
-                memo_hit,
-            });
-        };
-        // Exactly one of N racing submissions with the same key creates the
-        // job, but the fsync'd journal append must NOT happen under the
-        // idem lock — that would serialize every keyed submission on the
-        // container (all services, all distinct keys) behind one disk
-        // sync. The winner inserts a reservation and releases the lock;
-        // racers on the same key wait for the reservation to be filled,
-        // while distinct keys proceed untouched.
-        let map_key = (service.to_string(), key.to_string());
-        let mut idem = self.shared.idem.lock();
-        loop {
-            match idem.get(&map_key) {
-                Some(Some(existing)) => {
-                    let existing = existing.clone();
-                    if let Some(rep) = self.representation(service, &existing) {
-                        drop(idem);
-                        metrics::global()
-                            .counter(
-                                "mc_jobs_deduplicated_total",
-                                &[
-                                    ("container", &self.shared.metrics.label),
-                                    ("service", service),
-                                ],
-                            )
-                            .inc();
-                        trace::info(
-                            "job.deduplicated",
-                            request_id,
-                            &[("service", service), ("job", &existing), ("key", key)],
-                        );
-                        return Ok(SubmitOutcome {
-                            rep,
-                            deduplicated: true,
-                            memo_hit: false,
-                        });
-                    }
-                    // The mapped job's record was deleted: the key is free
-                    // again.
-                    idem.remove(&map_key);
-                    break;
+        // Any existing job answers a repeated key, whatever its state.
+        let mut idem = None;
+        if let Some(key) = idem_key {
+            let k = Key::Idem(service.to_string(), key.to_string());
+            match self
+                .shared
+                .keys
+                .claim(k, |job| self.representation(service, job))
+            {
+                Claim::Mapped(rep) => {
+                    metrics::global()
+                        .counter(
+                            "mc_jobs_deduplicated_total",
+                            &[
+                                ("container", &self.shared.metrics.label),
+                                ("service", service),
+                            ],
+                        )
+                        .inc();
+                    trace::info(
+                        "job.deduplicated",
+                        request_id,
+                        &[("service", service), ("job", rep.id.as_str()), ("key", key)],
+                    );
+                    return Ok(SubmitOutcome {
+                        rep,
+                        deduplicated: true,
+                        memo_hit: false,
+                    });
                 }
-                Some(None) => {
-                    // A racing submission holds the reservation and is
-                    // journaling its job; wait for it to publish the id.
-                    self.shared.idem_filled.wait(&mut idem);
-                }
-                None => break,
+                Claim::Reserved(reservation) => idem = Some(reservation),
             }
         }
-        idem.insert(map_key.clone(), None);
-        drop(idem);
         // The memo layer may answer with an existing job instead of
         // creating one; the key then maps to that job, so retries of this
         // keyed POST keep deduplicating onto the memoized result.
-        let (rep, memo_hit) = self.create_or_memoize(service, inputs, request_id, Some(key));
-        self.shared
-            .idem
-            .lock()
-            .insert(map_key, Some(rep.id.as_str().to_string()));
-        self.shared.idem_filled.notify_all();
+        let (rep, memo_hit) = self.create_or_memoize(service, inputs, request_id, idem_key);
+        if let Some(reservation) = idem {
+            reservation.fill(rep.id.as_str());
+        }
         Ok(SubmitOutcome {
             rep,
             deduplicated: false,
@@ -833,9 +749,7 @@ impl Everest {
     /// concurrent identical submissions run the kernel once. A key mapped
     /// to a failed, cancelled, or since-evicted job is stale: it is
     /// dropped and the submission re-executes (errors are never memoized,
-    /// and a hit can never resurrect an evicted record). The `None`
-    /// reservation protocol mirrors the idempotency map: the fsync'd
-    /// journal append never happens under the memo lock.
+    /// and a hit can never resurrect an evicted record).
     ///
     /// Returns the representation and whether it was a memo hit.
     fn create_or_memoize(
@@ -855,53 +769,33 @@ impl Everest {
         let resolve = move |id: &str| files.hash_of(id);
         let key = memo::memo_key(service, &inputs, &resolve);
         let m = &self.shared.metrics;
-        let mut memo = self.shared.memo.lock();
-        loop {
-            match memo.get(&key) {
-                Some(Some(job_id)) => {
-                    let job_id = job_id.clone();
-                    match self.representation(service, &job_id) {
-                        Some(rep) if rep.state == JobState::Done || !rep.state.is_terminal() => {
-                            drop(memo);
-                            let coalesced = rep.state != JobState::Done;
-                            metrics::global()
-                                .counter(
-                                    "mc_cache_hits_total",
-                                    &[("container", &m.label), ("service", service)],
-                                )
-                                .inc();
-                            trace::info(
-                                "job.memo_hit",
-                                request_id,
-                                &[
-                                    ("service", service),
-                                    ("job", &job_id),
-                                    ("key", &key),
-                                    ("coalesced", if coalesced { "true" } else { "false" }),
-                                ],
-                            );
-                            return (rep, true);
-                        }
-                        // Failed or cancelled results are never served from
-                        // the cache, and an evicted/deleted job frees its
-                        // key: fall through to a fresh execution.
-                        _ => {
-                            memo.remove(&key);
-                            break;
-                        }
-                    }
-                }
-                Some(None) => {
-                    // A racing identical submission holds the reservation
-                    // and is creating (and journaling) the job; coalesce
-                    // onto it once the id is published.
-                    self.shared.memo_filled.wait(&mut memo);
-                }
-                None => break,
+        let usable = |job: &str| {
+            self.representation(service, job)
+                .filter(|rep| rep.state == JobState::Done || !rep.state.is_terminal())
+        };
+        let reservation = match self.shared.keys.claim(Key::Memo(key.clone()), usable) {
+            Claim::Mapped(rep) => {
+                let coalesced = rep.state != JobState::Done;
+                metrics::global()
+                    .counter(
+                        "mc_cache_hits_total",
+                        &[("container", &m.label), ("service", service)],
+                    )
+                    .inc();
+                trace::info(
+                    "job.memo_hit",
+                    request_id,
+                    &[
+                        ("service", service),
+                        ("job", rep.id.as_str()),
+                        ("key", &key),
+                        ("coalesced", if coalesced { "true" } else { "false" }),
+                    ],
+                );
+                return (rep, true);
             }
-        }
-        memo.insert(key.clone(), None);
-        drop(memo);
+            Claim::Reserved(reservation) => reservation,
+        };
         metrics::global()
             .counter(
                 "mc_cache_misses_total",
@@ -909,11 +803,7 @@ impl Everest {
             )
             .inc();
         let rep = self.create_job(service, inputs, request_id, idem_key, Some(&key));
-        self.shared
-            .memo
-            .lock()
-            .insert(key, Some(rep.id.as_str().to_string()));
-        self.shared.memo_filled.notify_all();
+        reservation.fill(rep.id.as_str());
         (rep, false)
     }
 
@@ -930,22 +820,23 @@ impl Everest {
         memo_key: Option<&str>,
     ) -> JobRepresentation {
         let job_id = format!("j-{}", self.shared.next_job.fetch_add(1, Ordering::Relaxed));
-        {
+        // The WAITING representation is built inside the insert critical
+        // section: once the job is queued it can run, finish, and even be
+        // evicted under a tight terminal-retention cap before this thread
+        // could read it back.
+        let rep = {
             let mut jobs = self.shared.jobs.lock();
-            jobs.insert(
-                (service.to_string(), job_id.clone()),
-                JobRecord {
-                    state: JobState::Waiting,
-                    outputs: None,
-                    error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    inputs: inputs.clone(),
-                    runtime_ms: None,
-                    request_id: request_id.map(str::to_string),
-                    submitted_at: Instant::now(),
-                    terminal_seq: None,
-                },
-            );
+            let record = JobRecord {
+                state: JobState::Waiting,
+                outputs: None,
+                error: None,
+                cancel: Arc::new(AtomicBool::new(false)),
+                inputs,
+                runtime_ms: None,
+                request_id: request_id.map(str::to_string),
+                submitted_at: Instant::now(),
+                terminal_seq: None,
+            };
             self.shared.journal(
                 service,
                 &job_id,
@@ -954,11 +845,14 @@ impl Everest {
                     idem_key,
                     memo_key,
                     request_id,
-                    inputs: Some(&inputs),
+                    inputs: Some(&record.inputs),
                     ..Default::default()
                 },
             );
-        }
+            let rep = representation_of(service, &job_id, &record);
+            jobs.insert((service.to_string(), job_id.clone()), record);
+            rep
+        };
         self.shared.stats.lock().submitted += 1;
         let m = &self.shared.metrics;
         metrics::global()
@@ -981,15 +875,9 @@ impl Everest {
             request_id,
             None,
         );
-        // Snapshot the WAITING representation *before* the queue push: once
-        // the job is queued it can run, finish, and even be evicted under a
-        // tight terminal-retention cap before this thread reads it back.
-        let rep = self
-            .representation(service, &job_id)
-            .expect("job just inserted");
         self.queue
             .0
-            .push((service.to_string(), job_id.clone()), &m.queue_depth);
+            .push((service.to_string(), job_id), &m.queue_depth);
         rep
     }
 
@@ -998,7 +886,7 @@ impl Everest {
     ///
     /// # Errors
     ///
-    /// See [`Everest::submit`].
+    /// See [`Everest::submit_full`].
     pub fn submit_sync(
         &self,
         service: &str,
@@ -1006,7 +894,7 @@ impl Everest {
         caller: Option<&Caller>,
         sync_wait: Duration,
     ) -> Result<JobRepresentation, SubmitRejection> {
-        let rep = self.submit(service, body, caller)?;
+        let rep = self.submit_full(service, body, caller, None, None)?.rep;
         Ok(self
             .wait(service, rep.id.as_str(), sync_wait)
             .unwrap_or(rep))
@@ -1016,12 +904,7 @@ impl Everest {
     pub fn representation(&self, service: &str, job_id: &str) -> Option<JobRepresentation> {
         let jobs = self.shared.jobs.lock();
         let record = jobs.get(&(service.to_string(), job_id.to_string()))?;
-        let mut rep =
-            JobRepresentation::new(JobId::new(job_id), &uri::job(service, job_id), record.state);
-        rep.outputs = record.outputs.clone();
-        rep.error = record.error.clone();
-        rep.runtime_ms = record.runtime_ms;
-        Some(rep)
+        Some(representation_of(service, job_id, record))
     }
 
     /// Blocks until the job is terminal or `timeout` elapses; returns the
@@ -1061,31 +944,12 @@ impl Everest {
         match jobs.get_mut(&key) {
             None => false,
             Some(record) if record.state.is_terminal() => {
-                jobs.remove(&key);
-                self.shared.journal(
-                    service,
-                    job_id,
-                    TransitionState::Deleted,
-                    TransitionDetail::default(),
-                );
+                remove_terminal(&self.shared, &mut jobs, &key);
                 drop(jobs);
-                // The deleted job's Idempotency-Key (if any) is free again;
-                // taken after the jobs lock is released to respect the
-                // idem-before-jobs lock order. Reservations (None) belong
-                // to in-flight submissions and are kept.
-                self.shared
-                    .idem
-                    .lock()
-                    .retain(|_, v| v.as_deref() != Some(job_id));
-                // Likewise its memo key: a later identical submission must
-                // re-execute, not resurrect the deleted record. The job's
-                // files drop one blob reference each; the bytes are freed
-                // only if no other job still points at them.
-                self.shared
-                    .memo
-                    .lock()
-                    .retain(|_, v| v.as_deref() != Some(job_id));
-                self.shared.files.remove_job(service, job_id);
+                // Its keys are free again: a retried key or an identical
+                // submission must re-execute, not resurrect the deleted
+                // record. Taken after the jobs lock (keys → jobs order).
+                self.shared.keys.forget([job_id]);
                 true
             }
             Some(record) => {
@@ -1115,7 +979,11 @@ impl Everest {
                     rid.as_deref(),
                     &[("service", service), ("job", job_id)],
                 );
+                // Evict in the settling critical section, so no caller
+                // that sees the cancellation can act on a doomed record.
+                let evicted = evict_excess(&self.shared, &mut jobs);
                 drop(jobs);
+                release_evicted(&self.shared, &evicted);
                 publish_job_event(
                     "job.cancelled",
                     &self.shared.metrics.label,
@@ -1125,7 +993,6 @@ impl Everest {
                     None,
                 );
                 self.shared.job_done.notify_all();
-                enforce_retention(&self.shared);
                 true
             }
         }
@@ -1306,12 +1173,11 @@ impl Everest {
         let recovered = store.recovered();
         let mut report = RecoveryReport::default();
         let mut to_requeue: Vec<(String, String)> = Vec::new();
-        let mut replayed: Vec<(&'static str, String, String, Option<String>, Option<String>)> =
-            Vec::new();
+        // (event kind, job) for every job replayed into memory.
+        let mut replayed: Vec<(&'static str, &RecoveredJob)> = Vec::new();
         {
-            let mut idem = self.shared.idem.lock();
-            // Lock order: idem before memo before jobs (see `Shared::memo`).
-            let mut memo = self.shared.memo.lock();
+            // Lock order: keys before jobs.
+            let mut keys = self.shared.keys.restore();
             let mut jobs = self.shared.jobs.lock();
             for r in &recovered {
                 let key = (r.service.clone(), r.job.clone());
@@ -1321,21 +1187,19 @@ impl Everest {
                     continue;
                 }
                 if let Some(k) = &r.idem_key {
-                    idem.insert((r.service.clone(), k.clone()), Some(r.job.clone()));
+                    keys.insert(Key::Idem(r.service.clone(), k.clone()), &r.job, true);
                     report.idem_keys += 1;
                 }
+                // Completed results are restored unconditionally (a DONE job
+                // beats any requeued one holding the key); interrupted jobs
+                // reclaim their key only if nothing else holds it, so their
+                // re-execution coalesces identical submissions again. Failed
+                // and cancelled jobs never map — errors are not memoized.
+                let done = r.state == JobState::Done;
                 if let Some(mk) = &r.memo_key {
-                    // Completed results are restored unconditionally (a
-                    // DONE job beats any requeued one holding the key);
-                    // interrupted jobs reclaim their key only if nothing
-                    // else holds it, so their re-execution coalesces
-                    // identical submissions again. Failed and cancelled
-                    // jobs never map — errors are not memoized.
-                    if r.state == JobState::Done {
-                        memo.insert(mk.clone(), Some(r.job.clone()));
-                        report.memo_keys += 1;
-                    } else if !r.state.is_terminal() && !memo.contains_key(mk) {
-                        memo.insert(mk.clone(), Some(r.job.clone()));
+                    if (done || !r.state.is_terminal())
+                        && keys.insert(Key::Memo(mk.clone()), &r.job, done)
+                    {
                         report.memo_keys += 1;
                     }
                 }
@@ -1362,13 +1226,7 @@ impl Everest {
                     JobState::Cancelled => "job.cancelled",
                     _ => "job.submitted",
                 };
-                replayed.push((
-                    kind,
-                    r.service.clone(),
-                    r.job.clone(),
-                    r.request_id.clone(),
-                    r.error.clone(),
-                ));
+                replayed.push((kind, r));
                 if terminal {
                     report.replayed += 1;
                 } else {
@@ -1381,14 +1239,14 @@ impl Everest {
             *self.shared.store.lock() = Some(Arc::clone(&store));
         }
         let m = &self.shared.metrics;
-        for (kind, service, job, request_id, error) in &replayed {
+        for (kind, r) in replayed {
             publish_job_event_full(
                 kind,
                 &m.label,
-                service,
-                job,
-                request_id.as_deref(),
-                error.as_deref(),
+                &r.service,
+                &r.job,
+                r.request_id.as_deref(),
+                r.error.as_deref(),
                 true,
             );
         }
@@ -1485,69 +1343,89 @@ impl ScalableTarget for Everest {
 /// poison pill (pool shrink) or the queue closes (every container handle
 /// dropped).
 fn spawn_worker(shared: Arc<Shared>, queue: Arc<JobQueue>) {
-    std::thread::spawn(move || loop {
-        match queue.pop(&shared.metrics.queue_depth) {
-            Popped::Job((service, job)) => {
-                shared.metrics.busy_workers.add(1);
-                run_job(&shared, &service, &job);
-                shared.metrics.busy_workers.sub(1);
-            }
-            Popped::Retire | Popped::Closed => break,
+    std::thread::spawn(move || {
+        while let Popped::Job((service, job)) = queue.pop(&shared.metrics.queue_depth) {
+            shared.metrics.busy_workers.add(1);
+            run_job(&shared, &service, &job);
+            shared.metrics.busy_workers.sub(1);
         }
     });
 }
 
+/// A job's resource representation.
+fn representation_of(service: &str, job_id: &str, record: &JobRecord) -> JobRepresentation {
+    let mut rep =
+        JobRepresentation::new(JobId::new(job_id), &uri::job(service, job_id), record.state);
+    rep.outputs = record.outputs.clone();
+    rep.error = record.error.clone();
+    rep.runtime_ms = record.runtime_ms;
+    rep
+}
+
+/// Removes a terminal job inside the caller's `jobs` critical section: the
+/// record leaves memory, the journal gets a `DELETED` tombstone (so the
+/// next compaction reclaims the space), and each of the job's files drops
+/// one blob reference — the bytes are freed only when no other job still
+/// points at them. The caller frees the job's keys once the jobs lock is
+/// released.
+fn remove_terminal(shared: &Shared, jobs: &mut Jobs, key: &(String, String)) {
+    jobs.remove(key);
+    shared.journal(
+        &key.0,
+        &key.1,
+        TransitionState::Deleted,
+        TransitionDetail::default(),
+    );
+    shared.files.remove_job(&key.0, &key.1);
+}
+
 /// Evicts the oldest-settled terminal jobs down to the configured retention
-/// cap: their records leave memory, their journal gets a `DELETED`
-/// tombstone (so the next compaction reclaims the space), their
-/// `Idempotency-Key` mappings and files are freed. Live (WAITING/RUNNING)
-/// jobs are never touched. A no-op at the default unlimited cap.
-fn enforce_retention(shared: &Shared) {
+/// cap, inside the caller's `jobs` critical section (see
+/// [`remove_terminal`]). Live (WAITING/RUNNING) jobs are never touched. A
+/// no-op at the default unlimited cap.
+///
+/// A settling transition calls this in the same critical section that
+/// settles the job, before it publishes the event or wakes waiters: a
+/// caller acting on the settled job must not find a record (or a file) that
+/// an eviction still in flight is about to remove.
+///
+/// Returns the evicted jobs, for [`release_evicted`].
+fn evict_excess(shared: &Shared, jobs: &mut Jobs) -> Vec<(String, String)> {
     let cap = shared.retention.load(Ordering::Relaxed);
     if cap == usize::MAX {
+        return Vec::new();
+    }
+    // Borrow the keys and clone only the evicted ones: this runs on every
+    // settling transition, inside the jobs lock.
+    let mut terminal: Vec<(u64, &(String, String))> = jobs
+        .iter()
+        .filter_map(|(k, r)| r.terminal_seq.map(|ts| (ts, k)))
+        .collect();
+    if terminal.len() <= cap {
+        return Vec::new();
+    }
+    // Terminal sequence numbers are unique, so the order is total.
+    terminal.sort_unstable_by_key(|&(ts, _)| ts);
+    let excess = terminal.len() - cap;
+    let evicted: Vec<(String, String)> = terminal[..excess]
+        .iter()
+        .map(|&(_, key)| key.clone())
+        .collect();
+    for key in &evicted {
+        remove_terminal(shared, jobs, key);
+    }
+    evicted
+}
+
+/// Outside the jobs lock: frees the evicted jobs' keys — the next identical
+/// or same-key submission is a miss that re-executes — and counts them.
+fn release_evicted(shared: &Shared, evicted: &[(String, String)]) {
+    if evicted.is_empty() {
         return;
     }
-    let mut evicted: Vec<(String, String)> = Vec::new();
-    {
-        let mut jobs = shared.jobs.lock();
-        let mut terminal: Vec<(u64, (String, String))> = jobs
-            .iter()
-            .filter_map(|(k, r)| r.terminal_seq.map(|ts| (ts, k.clone())))
-            .collect();
-        if terminal.len() <= cap {
-            return;
-        }
-        terminal.sort_unstable();
-        let excess = terminal.len() - cap;
-        for (_, key) in terminal.into_iter().take(excess) {
-            jobs.remove(&key);
-            shared.journal(
-                &key.0,
-                &key.1,
-                TransitionState::Deleted,
-                TransitionDetail::default(),
-            );
-            evicted.push(key);
-        }
-    }
-    // Outside the jobs lock (same discipline as delete_job): free the
-    // evicted jobs' keys — reservations (None) belong to in-flight
-    // submissions and are kept — and their files.
-    shared.idem.lock().retain(|(svc, _), v| {
-        !evicted
-            .iter()
-            .any(|(es, ej)| es == svc && v.as_deref() == Some(ej))
-    });
-    // Memo keys of evicted jobs are freed too — the next identical
-    // submission is a miss that re-executes (a hit must never point at a
-    // record that no longer exists).
     shared
-        .memo
-        .lock()
-        .retain(|_, v| !evicted.iter().any(|(_, ej)| v.as_deref() == Some(ej)));
-    for (service, job) in &evicted {
-        shared.files.remove_job(service, job);
-    }
+        .keys
+        .forget(evicted.iter().map(|(_, job)| job.as_str()));
     metrics::global()
         .counter(
             "mc_jobs_evicted_total",
@@ -1562,6 +1440,13 @@ fn enforce_retention(shared: &Shared) {
             ("evicted", &evicted.len().to_string()),
         ],
     );
+}
+
+/// Enforces the retention cap outside any job transition (cap changes,
+/// recovery).
+fn enforce_retention(shared: &Shared) {
+    let evicted = evict_excess(shared, &mut shared.jobs.lock());
+    release_evicted(shared, &evicted);
 }
 
 fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
@@ -1698,10 +1583,17 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
         }
         // Cancelled while running: keep the CANCELLED state, drop results.
     }
+    // Evict in the settling critical section, so no caller that sees this
+    // job settle can act on a record the eviction is about to remove.
+    let evicted = if terminal.is_some() {
+        evict_excess(shared, &mut jobs)
+    } else {
+        Vec::new()
+    };
     drop(jobs);
+    release_evicted(shared, &evicted);
     // Publish before the condvar wake-up so a subscriber that reacts to the
     // event always finds the terminal record in place.
-    let settled = terminal.is_some();
     if let Some((kind, error)) = terminal {
         publish_job_event(
             kind,
@@ -1713,9 +1605,6 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
         );
     }
     shared.job_done.notify_all();
-    if settled {
-        enforce_retention(shared);
-    }
 }
 
 #[cfg(test)]
@@ -1724,6 +1613,16 @@ mod tests {
     use crate::adapter::NativeAdapter;
     use mathcloud_core::Parameter;
     use mathcloud_json::{json, Schema};
+
+    fn submit(
+        e: &Everest,
+        service: &str,
+        body: &Value,
+        caller: Option<&Caller>,
+    ) -> Result<JobRepresentation, SubmitRejection> {
+        e.submit_full(service, body, caller, None, None)
+            .map(|o| o.rep)
+    }
 
     fn sum_container() -> Everest {
         let e = Everest::with_handlers("test", 2);
@@ -1744,7 +1643,7 @@ mod tests {
     #[test]
     fn submit_runs_job_to_done() {
         let e = sum_container();
-        let rep = e.submit("sum", &json!({"a": 20, "b": 22}), None).unwrap();
+        let rep = submit(&e, "sum", &json!({"a": 20, "b": 22}), None).unwrap();
         assert_eq!(rep.state, JobState::Waiting);
         let done = e
             .wait("sum", rep.id.as_str(), Duration::from_secs(5))
@@ -1775,10 +1674,10 @@ mod tests {
     #[test]
     fn invalid_inputs_are_rejected_with_400() {
         let e = sum_container();
-        let err = e.submit("sum", &json!({"a": "x"}), None).unwrap_err();
+        let err = submit(&e, "sum", &json!({"a": "x"}), None).unwrap_err();
         assert!(matches!(err, SubmitRejection::InvalidInputs(_)));
         assert_eq!(err.status(), 400);
-        let err = e.submit("nope", &json!({}), None).unwrap_err();
+        let err = submit(&e, "nope", &json!({}), None).unwrap_err();
         assert_eq!(err.status(), 404);
     }
 
@@ -1789,7 +1688,7 @@ mod tests {
             ServiceDescription::new("bad", "always fails"),
             NativeAdapter::from_fn(|_, _| Err("no luck".into())),
         );
-        let rep = e.submit("bad", &json!({}), None).unwrap();
+        let rep = submit(&e, "bad", &json!({}), None).unwrap();
         let done = e
             .wait("bad", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();
@@ -1810,7 +1709,7 @@ mod tests {
                 Err("cancelled".into())
             }),
         );
-        let rep = e.submit("slow", &json!({}), None).unwrap();
+        let rep = submit(&e, "slow", &json!({}), None).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         assert!(e.delete_job("slow", rep.id.as_str()), "cancel");
         let st = e
@@ -1835,16 +1734,16 @@ mod tests {
         );
         let alice = Caller::direct(Identity::openid("https://id/alice"));
         let bob = Caller::direct(Identity::openid("https://id/bob"));
-        assert!(e.submit("private", &json!({}), Some(&alice)).is_ok());
-        let err = e.submit("private", &json!({}), Some(&bob)).unwrap_err();
+        assert!(submit(&e, "private", &json!({}), Some(&alice)).is_ok());
+        let err = submit(&e, "private", &json!({}), Some(&bob)).unwrap_err();
         assert_eq!(err.status(), 403);
         // Delegation through a trusted proxy works for allowed users only.
         let via_wms = Caller::proxied(Identity::openid("https://id/alice"), "CN=wms");
-        assert!(e.submit("private", &json!({}), Some(&via_wms)).is_ok());
+        assert!(submit(&e, "private", &json!({}), Some(&via_wms)).is_ok());
         let bob_via_wms = Caller::proxied(Identity::openid("https://id/bob"), "CN=wms");
-        assert!(e.submit("private", &json!({}), Some(&bob_via_wms)).is_err());
+        assert!(submit(&e, "private", &json!({}), Some(&bob_via_wms)).is_err());
         let via_rogue = Caller::proxied(Identity::openid("https://id/alice"), "CN=rogue");
-        assert!(e.submit("private", &json!({}), Some(&via_rogue)).is_err());
+        assert!(submit(&e, "private", &json!({}), Some(&via_rogue)).is_err());
     }
 
     #[test]
@@ -1908,7 +1807,7 @@ mod tests {
         e.resize_pool(4);
         let t0 = Instant::now();
         let reps: Vec<_> = (0..4)
-            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .map(|_| submit(&e, "sleep", &json!({"ms": 100}), None).unwrap())
             .collect();
         for rep in &reps {
             assert_eq!(
@@ -1931,7 +1830,7 @@ mod tests {
     fn shrink_lets_running_jobs_finish() {
         let (e, gate) = gated_container(3);
         let reps: Vec<_> = (0..3)
-            .map(|_| e.submit("hold", &json!({}), None).unwrap())
+            .map(|_| submit(&e, "hold", &json!({}), None).unwrap())
             .collect();
         // Wait until all three workers picked up their job.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1951,7 +1850,7 @@ mod tests {
         }
         assert_eq!(e.pool_workers(), 1);
         // The surviving worker still serves new jobs.
-        let rep = e.submit("hold", &json!({}), None).unwrap();
+        let rep = submit(&e, "hold", &json!({}), None).unwrap();
         assert_eq!(
             e.wait("hold", rep.id.as_str(), Duration::from_secs(5))
                 .unwrap()
@@ -1970,7 +1869,7 @@ mod tests {
         assert_eq!(idle.saturation(), 0.0);
 
         for _ in 0..3 {
-            e.submit("hold", &json!({}), None).unwrap();
+            submit(&e, "hold", &json!({}), None).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         while e.pool_status().busy < 2 && Instant::now() < deadline {
@@ -2032,8 +1931,8 @@ mod tests {
         e.set_terminal_retention(3);
         let mut ids = Vec::new();
         for i in 0..8i64 {
-            let (rep, deduped) = e
-                .submit_idempotent(
+            let o = e
+                .submit_full(
                     "sum",
                     &json!({"a": i, "b": 1}),
                     None,
@@ -2041,6 +1940,7 @@ mod tests {
                     Some(&format!("key-{i}")),
                 )
                 .unwrap();
+            let (rep, deduped) = (o.rep, o.deduplicated);
             let done = e
                 .wait("sum", rep.id.as_str(), Duration::from_secs(5))
                 .unwrap();
@@ -2048,9 +1948,8 @@ mod tests {
             assert!(!deduped);
             ids.push(rep.id.as_str().to_string());
         }
-        // Workers enforce the cap after each terminal transition; this call
-        // enforces synchronously so the assertions below are race-free.
-        e.set_terminal_retention(3);
+        // Settling each job evicted past the cap before `wait` returned, so
+        // the assertions below are race-free.
 
         for id in &ids[..5] {
             assert!(
@@ -2067,21 +1966,20 @@ mod tests {
             );
         }
         // A retained key still deduplicates; an evicted key is free again.
-        let (rep, deduped) = e
-            .submit_idempotent("sum", &json!({"a": 7, "b": 1}), None, None, Some("key-7"))
+        let o = e
+            .submit_full("sum", &json!({"a": 7, "b": 1}), None, None, Some("key-7"))
             .unwrap();
+        let (rep, deduped) = (o.rep, o.deduplicated);
         assert!(deduped);
         assert_eq!(rep.id.as_str(), ids[7]);
-        let (rep, deduped) = e
-            .submit_idempotent("sum", &json!({"a": 0, "b": 1}), None, None, Some("key-0"))
+        let o = e
+            .submit_full("sum", &json!({"a": 0, "b": 1}), None, None, Some("key-0"))
             .unwrap();
+        let (rep, deduped) = (o.rep, o.deduplicated);
         assert!(!deduped, "the evicted key maps to no record");
         assert_ne!(rep.id.as_str(), ids[0]);
         e.wait("sum", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();
-        // Enforce synchronously again: the worker settling key-0's job may
-        // not have journaled its eviction tombstone yet.
-        e.set_terminal_retention(3);
         drop(e);
 
         // The tombstones hold across a restart: recovery replays only what
@@ -2109,7 +2007,7 @@ mod tests {
         );
         let t0 = Instant::now();
         let reps: Vec<_> = (0..4)
-            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .map(|_| submit(&e, "sleep", &json!({"ms": 100}), None).unwrap())
             .collect();
         for rep in &reps {
             assert_eq!(

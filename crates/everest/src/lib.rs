@@ -37,7 +37,8 @@
 //!     }),
 //! );
 //!
-//! let rep = everest.submit("sum", &json!({"a": 2, "b": 3}), None).unwrap();
+//! // Caller, request id and Idempotency-Key are all optional.
+//! let rep = everest.submit_full("sum", &json!({"a": 2, "b": 3}), None, None, None).unwrap().rep;
 //! let done = everest.wait("sum", rep.id.as_str(), std::time::Duration::from_secs(5)).unwrap();
 //! assert_eq!(done.outputs.unwrap().get("total").unwrap().as_i64(), Some(5));
 //! ```
@@ -50,6 +51,7 @@ pub mod jobstore;
 pub mod memo;
 pub mod paas;
 pub mod rest;
+mod single_flight;
 pub mod webui;
 
 pub use adapter::{Adapter, AdapterContext};

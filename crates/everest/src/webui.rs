@@ -33,10 +33,9 @@ pub fn mount(router: &mut Router, everest: Everest) {
             return Response::html(404, &error_page(&format!("no such service: {name}")));
         };
         let inputs = form_to_inputs(&desc, &req.body_string());
-        match e.submit(name, &Value::Object(inputs), None) {
-            Ok(rep) => {
-                Response::empty(303).with_header("Location", &format!("/ui/{name}/jobs/{}", rep.id))
-            }
+        match e.submit_full(name, &Value::Object(inputs), None, None, None) {
+            Ok(o) => Response::empty(303)
+                .with_header("Location", &format!("/ui/{name}/jobs/{}", o.rep.id)),
             Err(rej) => Response::html(rej.status(), &error_page(&rej.to_string())),
         }
     });

@@ -255,13 +255,36 @@ fn memo_hits_race_eviction_without_resurrecting_jobs_or_dangling_blobs() {
 
     // With a retention cap of 1, exactly one terminal record survives, and
     // the store holds exactly its blob — nothing leaked, nothing dangling.
-    // Retention is enforced by the worker thread after the terminal
-    // transition wakes our `wait`, so give it a moment to finish.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while e.files().blob_count() != 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
     assert_eq!(e.files().blob_count(), 1, "one blob per surviving job");
+}
+
+#[test]
+fn retention_cap_holds_as_soon_as_wait_returns() {
+    const JOBS: i64 = 2000;
+    const CAP: usize = 4;
+    let execs = Arc::new(AtomicUsize::new(0));
+    let e = blob_container("memo-retention", &execs);
+    e.set_terminal_retention(CAP);
+    // Eviction happens in the critical section that settles a job, before
+    // its waiters wake. Otherwise a caller acting on DONE could take a memo
+    // hit on the oldest retained job and lose its file to the eviction
+    // still in flight.
+    for n in 0..JOBS {
+        let o = e
+            .submit_full("blob", &json!({"n": n}), None, None, None)
+            .unwrap();
+        let rep = e
+            .wait("blob", o.rep.id.as_str(), Duration::from_secs(10))
+            .expect("job completes");
+        assert_eq!(rep.state, JobState::Done);
+        let done = e.health().done;
+        assert!(
+            done <= CAP,
+            "job {n}: {done} DONE records retained, cap {CAP}"
+        );
+        let blobs = e.files().blob_count();
+        assert!(blobs <= CAP, "job {n}: {blobs} blobs retained, cap {CAP}");
+    }
 }
 
 #[test]
@@ -278,8 +301,14 @@ fn deleting_one_of_two_jobs_sharing_a_blob_keeps_the_other_readable() {
     );
     // Memoization stays off: the point is two *distinct* jobs converging on
     // one content-addressed blob.
-    let first = e.submit("constant", &json!({"n": 1}), None).unwrap();
-    let second = e.submit("constant", &json!({"n": 2}), None).unwrap();
+    let first = e
+        .submit_full("constant", &json!({"n": 1}), None, None, None)
+        .unwrap()
+        .rep;
+    let second = e
+        .submit_full("constant", &json!({"n": 2}), None, None, None)
+        .unwrap()
+        .rep;
     let first = e
         .wait("constant", first.id.as_str(), Duration::from_secs(10))
         .unwrap();

@@ -54,7 +54,7 @@ fn resize_retires_surplus_workers_and_grows_back_lazily() {
     let counter = AtomicUsize::new(0);
     region(&pool, 8, &counter);
     let spawned = pool.spawned_total();
-    assert!(spawned >= 1 && spawned <= 4);
+    assert!((1..=4).contains(&spawned));
 
     // Shrink: surplus workers must retire once idle.
     pool.resize(1);

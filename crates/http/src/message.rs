@@ -390,9 +390,10 @@ impl StreamControl {
 /// should simply return. The [`StreamControl`] is the server's shutdown
 /// signal — well-behaved streams poll it between blocking waits.
 #[derive(Clone)]
-pub struct BodyStream(
-    Arc<dyn Fn(&mut dyn io::Write, &StreamControl) -> io::Result<()> + Send + Sync>,
-);
+pub struct BodyStream(Arc<StreamFn>);
+
+/// The callback behind a [`BodyStream`].
+type StreamFn = dyn Fn(&mut dyn io::Write, &StreamControl) -> io::Result<()> + Send + Sync;
 
 impl BodyStream {
     /// Runs the stream over `writer` until it finishes, the peer goes away,

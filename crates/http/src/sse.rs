@@ -72,11 +72,13 @@ pub fn events_response(req: &Request, bus: &'static Bus) -> Response {
             Duration::from_millis(ms.clamp(10, 600_000))
         });
 
+    // Replay and live attachment happen atomically under the bus lock: no
+    // event published in between can be missed or duplicated. Attaching
+    // here, before the response head is written, means a client that reads
+    // the head and then submits a job gets every event of that job, however
+    // late the streamer thread that relays them starts.
+    let (backlog, sub) = bus.subscribe_from(after, filter, mathcloud_events::DEFAULT_QUEUE);
     Response::streaming(200, "text/event-stream", move |w, ctl| {
-        // Replay and live attachment happen atomically under the bus lock:
-        // no event published in between can be missed or duplicated.
-        let (backlog, sub) =
-            bus.subscribe_from(after, filter.clone(), mathcloud_events::DEFAULT_QUEUE);
         for ev in &backlog {
             write_event(w, ev)?;
         }
@@ -250,7 +252,7 @@ impl EventStream {
     /// # Errors
     ///
     /// Socket errors and read timeouts.
-    pub fn next(&mut self) -> io::Result<SseItem> {
+    pub fn next_item(&mut self) -> io::Result<SseItem> {
         let mut event = SseEvent {
             id: None,
             kind: String::new(),
@@ -374,7 +376,7 @@ pub fn watch_job_on(
         if stream.set_read_timeout(slice).is_err() {
             return WatchResult::Dropped;
         }
-        match stream.next() {
+        match stream.next_item() {
             Ok(SseItem::Event(ev)) => {
                 let Some(env) = ev.envelope() else { continue };
                 let outcome = match env.kind.as_str() {

@@ -189,8 +189,11 @@ pub struct PoolController {
     idle_run: usize,
     ups: Counter,
     downs: Counter,
-    observer: Option<Box<dyn Fn(&ScaleEvent) + Send + Sync>>,
+    observer: Option<ScaleObserver>,
 }
+
+/// Callback run on every scale decision (see [`PoolController::on_scale`]).
+type ScaleObserver = Box<dyn Fn(&ScaleEvent) + Send + Sync>;
 
 impl PoolController {
     /// Creates a controller over `target`; `label` becomes the `pool` label

@@ -71,7 +71,8 @@ pub fn render(registry: &MetricsRegistry) -> String {
     let help = registry.help.read().unwrap_or_else(|e| e.into_inner());
 
     // Group samples into families by metric name.
-    let mut families: BTreeMap<String, Vec<(Vec<(String, String)>, Metric)>> = BTreeMap::new();
+    type Samples = Vec<(Vec<(String, String)>, Metric)>;
+    let mut families: BTreeMap<String, Samples> = BTreeMap::new();
     for (key, metric) in metrics.iter() {
         families
             .entry(key.name.clone())

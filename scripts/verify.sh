@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, release build, full test suite.
+# Tier-1 verification: formatting, lints, release build, full test suite,
+# then the hard-timeout batteries and bench gates. CI runs this script.
 # The workspace is dependency-free, so everything runs offline
 # (--offline makes cargo fail fast instead of probing the network).
 set -euo pipefail
@@ -7,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> cargo clippy -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -36,7 +40,7 @@ timeout 120 cargo test -q --offline --release \
 # and done), restarts onto the same journal and asserts replay-without-
 # re-execution, re-queue of interrupted work, cross-restart idempotency
 # and bounded compaction; the idempotency race parks 16 threads on one
-# key. A recovery that deadlocks on the jobs/idem/store locks or a worker
+# key. A recovery that deadlocks on the keys/jobs/store locks or a worker
 # that never drains must fail the build, not hang it.
 echo "==> crash recovery + idempotency suite (release, 180s budget)"
 timeout 180 cargo test -q --offline --release \
@@ -54,7 +58,7 @@ timeout 120 cargo test -q --offline --release \
 # whitespace, file-id aliasing) and every single semantic mutation; the
 # race battery parks 16 threads on one memo key and races hits against
 # terminal-job eviction. A canonicalizer that conflates distinct inputs or
-# a cache that deadlocks on the idem→memo→jobs lock chain must fail fast.
+# a cache that deadlocks on the keys→jobs→store lock chain must fail fast.
 echo "==> memo canonicalization + race battery (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --test memo_canon --test memo_races

@@ -19,7 +19,7 @@ use mathcloud_everest::adapter::NativeAdapter;
 use mathcloud_everest::Everest;
 use mathcloud_http::sse::{self, SseItem};
 use mathcloud_http::transport::BreakerRegistry;
-use mathcloud_http::{BreakerConfig, Client, Url};
+use mathcloud_http::{BreakerConfig, Client, Method, Request, StreamControl, Url};
 use mathcloud_integration_tests::loadgen::job_status_requests;
 use mathcloud_json::{json, Schema, Value};
 
@@ -39,7 +39,7 @@ fn next_event_where(
     mut pred: impl FnMut(&sse::SseEvent) -> bool,
 ) -> sse::SseEvent {
     while Instant::now() < deadline {
-        match stream.next() {
+        match stream.next_item() {
             Ok(SseItem::Event(ev)) if pred(&ev) => return ev,
             Ok(SseItem::Event(_) | SseItem::Heartbeat) => {}
             Ok(SseItem::Closed) => panic!("stream closed while waiting for an event"),
@@ -181,6 +181,54 @@ fn push_call_observes_the_lifecycle_with_a_single_status_request() {
         }
     }
     assert_eq!(seen, ["job.submitted", "job.running", "job.done"]);
+}
+
+/// Stands in for a client socket: keeps what the stream writes and goes
+/// away (a failing flush) once one whole event has arrived.
+struct OneEvent(Vec<u8>);
+
+impl std::io::Write for OneEvent {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.0.windows(2).any(|w| w == b"\n\n") {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        Ok(())
+    }
+}
+
+/// A client reads the response head, then submits: the server writes that
+/// head before a streamer thread starts the body, so the stream must already
+/// be attached to the bus when the response is built, or the events of the
+/// client's job can be published to nobody.
+#[test]
+fn events_published_before_the_streamer_starts_are_delivered() {
+    let bus = mathcloud_events::global();
+    let req = Request::new(Method::Get, "/events?kinds=itlate.");
+    let response = sse::events_response(&req, bus);
+    let body = response.stream.expect("GET /events streams");
+
+    // Published after the head could have gone out, before the body runs.
+    let id = bus.publish("itlate.tick", None, json!({}));
+
+    let control = StreamControl::new();
+    let stop = control.clone();
+    // Without the event the stream would wait forever; stop it instead.
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_secs(2));
+        stop.stop();
+    });
+    let mut out = OneEvent(Vec::new());
+    let _ = body.run(&mut out, &control);
+    let text = String::from_utf8_lossy(&out.0);
+    assert!(
+        text.contains(&format!("id: {id}\nevent: itlate.tick\n")),
+        "event published before the streamer started was lost: {text:?}"
+    );
 }
 
 #[test]

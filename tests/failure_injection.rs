@@ -147,7 +147,10 @@ fn adapter_panics_do_not_take_down_the_container() {
     );
     // The panic is contained: the job FAILS with the panic message and the
     // handler thread survives to serve later jobs.
-    let rep = e.submit("boom", &json!({}), None).unwrap();
+    let rep = e
+        .submit_full("boom", &json!({}), None, None, None)
+        .unwrap()
+        .rep;
     let done = e
         .wait("boom", rep.id.as_str(), Duration::from_secs(5))
         .unwrap();
@@ -162,7 +165,10 @@ fn adapter_panics_do_not_take_down_the_container() {
     // Saturate the pool with more panicking jobs, then prove both handlers
     // still work.
     for _ in 0..4 {
-        let rep = e.submit("boom", &json!({}), None).unwrap();
+        let rep = e
+            .submit_full("boom", &json!({}), None, None, None)
+            .unwrap()
+            .rep;
         e.wait("boom", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();
     }

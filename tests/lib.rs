@@ -133,8 +133,9 @@ pub mod loadgen {
         /// Submits one job occupying a worker for `ticks` virtual ticks.
         pub fn submit(&mut self, e: &Everest, ticks: u64) {
             let rep = e
-                .submit(SERVICE, &json!({"ticks": (ticks as i64)}), None)
-                .expect("submit load job");
+                .submit_full(SERVICE, &json!({"ticks": (ticks as i64)}), None, None, None)
+                .expect("submit load job")
+                .rep;
             self.jobs.push(rep.id.as_str().to_string());
         }
 
