@@ -11,8 +11,10 @@
 //! are exact, not sampled). Poll mode forces `JobHandle::wait_polling`; push
 //! mode uses `ServiceClient::call`, which subscribes before submitting and
 //! fetches the result with a single status request once the terminal
-//! `job.done` event arrives. CI gates on push reducing per-job status
-//! requests at least 5x.
+//! `job.done` event arrives. (`JobHandle::wait` and the workflow
+//! `HttpCaller` instead submit first and resume the stream from the
+//! response's `X-MC-Event-Id`, which costs the same one status request.)
+//! CI gates on push reducing per-job status requests at least 5x.
 
 use std::time::Duration;
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use mathcloud_core::{JobRepresentation, JobState, ServiceDescription};
 use mathcloud_http::sse;
-use mathcloud_http::{Client, Method, Request, Url, MEMO_HIT_HEADER};
+use mathcloud_http::{Client, Method, Request, Url, EVENT_ID_HEADER, MEMO_HIT_HEADER};
 use mathcloud_json::Value;
 use mathcloud_security::cert::{Certificate, OpenIdToken};
 use mathcloud_security::middleware::CLIENT_CERT_HEADER;
@@ -282,6 +282,7 @@ impl ServiceClient {
             client: self.client.clone(),
             base: self.url.clone(),
             rep,
+            event_id: event_id_of(&resp),
             request_id,
             memo_hit: resp.headers.get(MEMO_HIT_HEADER).is_some(),
         })
@@ -380,10 +381,17 @@ impl ServiceClient {
             client: self.client.clone(),
             base: self.url.clone(),
             rep,
+            event_id: event_id_of(&resp),
             request_id,
             memo_hit: false,
         })
     }
+}
+
+/// The `X-MC-Event-Id` of a job representation response, when the server
+/// sent one.
+fn event_id_of(resp: &mathcloud_http::Response) -> Option<u64> {
+    resp.headers.get(EVENT_ID_HEADER)?.parse().ok()
 }
 
 /// A handle on a submitted job.
@@ -392,6 +400,10 @@ pub struct JobHandle {
     client: Client,
     base: Url,
     rep: JobRepresentation,
+    /// The `X-MC-Event-Id` that came with `rep`: every event of the job that
+    /// `rep` does not reflect has a larger id. `None` from servers that do
+    /// not send it.
+    event_id: Option<u64>,
     request_id: String,
     memo_hit: bool,
 }
@@ -441,6 +453,7 @@ impl JobHandle {
                 .map_err(|e| ServiceError::Protocol(e.to_string()))?,
         )
         .map_err(ServiceError::Protocol)?;
+        self.event_id = event_id_of(&resp);
         Ok(&self.rep)
     }
 
@@ -449,8 +462,11 @@ impl JobHandle {
     /// Push-first: subscribes to the container's `GET /events` stream and
     /// blocks on this job's terminal `job.*` event, so waiting out a long
     /// job costs a handful of requests instead of one per poll interval.
-    /// When the server predates `/events`, or the stream drops twice, the
-    /// wait falls back to [`JobHandle::wait_polling`]'s loop.
+    /// The stream resumes after the `X-MC-Event-Id` of the last fetched
+    /// representation, so it replays whatever happened since — no status
+    /// request is needed until the terminal event arrives. When the server
+    /// predates `/events`, or the stream drops twice, the wait falls back to
+    /// [`JobHandle::wait_polling`]'s loop.
     ///
     /// # Errors
     ///
@@ -462,14 +478,17 @@ impl JobHandle {
             if let Ok(stream) = sse::subscribe(
                 &self.base,
                 "job.",
-                None,
+                self.event_id,
                 SSE_CONNECT_TIMEOUT,
                 sse::DEFAULT_HEARTBEAT,
             ) {
-                // The job may have turned terminal before the subscription
-                // existed; one refresh closes that race. Anything happening
-                // after this fetch reaches the already-open stream.
-                self.refresh()?;
+                // Without a resume point (a server that sends no event id),
+                // or when the server could not replay everything after it,
+                // the job may have turned terminal unseen: one refresh closes
+                // that race. Anything after the fetch reaches the open stream.
+                if self.event_id.is_none() || stream.gap {
+                    self.refresh()?;
+                }
                 return self
                     .wait_streamed(stream, deadline.saturating_duration_since(Instant::now()));
             }

@@ -357,15 +357,24 @@ struct Inner {
 }
 
 impl Inner {
-    /// Events with `id > after_id` passing `filter`, ring-then-journal.
-    fn replay(&self, after_id: u64, filter: &KindFilter) -> Vec<Arc<Envelope>> {
+    /// Events with `id > after_id` passing `filter`, ring-then-journal, and
+    /// whether they are all of them: nothing newer was published, or the
+    /// ring or the journal still holds `after_id + 1`.
+    fn replay(&self, after_id: u64, filter: &KindFilter) -> (Vec<Arc<Envelope>>, bool) {
+        let newest = self.next_id;
+        // An id past the newest was never assigned here: nothing can be
+        // said about what the subscriber missed.
+        let holds = |first: u64| after_id < newest && first <= after_id + 1;
         let ring_first = self.ring.front().map_or(u64::MAX, |e| e.id);
+        let mut complete = after_id == newest || holds(ring_first);
         let mut out: Vec<Arc<Envelope>> = Vec::new();
-        if after_id + 1 < ring_first {
+        if after_id.saturating_add(1) < ring_first {
             // The ring has already evicted part of the requested range; the
-            // journal (when attached) still has it.
+            // journal (when attached) may still have it — unless it was
+            // attached after that range was published.
             if let Some(j) = &self.journal {
                 if let Ok(evs) = read_journal(&j.path) {
+                    complete |= evs.first().is_some_and(|e| holds(e.id));
                     out.extend(
                         evs.into_iter()
                             .filter(|e| {
@@ -382,7 +391,7 @@ impl Inner {
                 .filter(|e| e.id > after_id && filter.matches(&e.kind))
                 .cloned(),
         );
-        out
+        (out, complete)
     }
 }
 
@@ -515,7 +524,7 @@ impl Bus {
     /// Subscribes for live events matching `filter`, with a queue bound of
     /// `capacity` events.
     pub fn subscribe(&self, filter: KindFilter, capacity: usize) -> Subscription {
-        self.subscribe_from(None, filter, capacity).1
+        self.subscribe_from(None, filter, capacity).2
     }
 
     /// Replays backlog and subscribes in one atomic step.
@@ -525,16 +534,21 @@ impl Bus {
     /// the ring no longer covers the range. No event published between the
     /// replay and the live attachment can be missed or duplicated: both
     /// happen under the bus lock.
+    ///
+    /// The flag says whether the backlog is complete: `false` when events
+    /// after `n` left the ring and no journal holds them either (or `n` is
+    /// newer than any id this bus assigned), so the subscriber cannot know
+    /// what it missed. Always `true` without a resume point.
     pub fn subscribe_from(
         &self,
         after_id: Option<u64>,
         filter: KindFilter,
         capacity: usize,
-    ) -> (Vec<Arc<Envelope>>, Subscription) {
+    ) -> (Vec<Arc<Envelope>>, bool, Subscription) {
         let mut inner = self.inner.lock();
-        let backlog = match after_id {
+        let (backlog, complete) = match after_id {
             Some(n) => inner.replay(n, &filter),
-            None => Vec::new(),
+            None => (Vec::new(), true),
         };
         let shared = Arc::new(SubShared {
             queue: Mutex::new(VecDeque::new()),
@@ -546,7 +560,7 @@ impl Bus {
         });
         inner.subs.push(Arc::clone(&shared));
         metrics::global().gauge("mc_events_subscribers", &[]).add(1);
-        (backlog, Subscription { shared })
+        (backlog, complete, Subscription { shared })
     }
 
     /// The id of the most recently published event (0 before the first).
@@ -633,8 +647,9 @@ mod tests {
         for i in 0..5 {
             bus.publish("t.ring", None, json!({ "i": i }));
         }
-        let (backlog, sub) = bus.subscribe_from(Some(2), KindFilter::all(), 8);
+        let (backlog, complete, sub) = bus.subscribe_from(Some(2), KindFilter::all(), 8);
         assert_eq!(backlog.iter().map(|e| e.id).collect::<Vec<_>>(), [3, 4, 5]);
+        assert!(complete);
         bus.publish("t.ring", None, json!({"i": 5}));
         assert_eq!(sub.try_recv().unwrap().id, 6, "live events follow replay");
     }
@@ -645,12 +660,56 @@ mod tests {
         for _ in 0..10 {
             bus.publish("t.evict", None, Value::Null);
         }
-        let (backlog, _sub) = bus.subscribe_from(Some(0), KindFilter::all(), 8);
+        let (backlog, _, _sub) = bus.subscribe_from(Some(0), KindFilter::all(), 8);
         // No journal: only the ring's tail is retained.
         assert_eq!(
             backlog.iter().map(|e| e.id).collect::<Vec<_>>(),
             [7, 8, 9, 10]
         );
+    }
+
+    #[test]
+    fn subscribe_from_reports_whether_the_backlog_is_complete() {
+        let bus = Bus::with_ring(4);
+        let (_, complete, _sub) = bus.subscribe_from(Some(0), KindFilter::all(), 8);
+        assert!(complete, "nothing published: nothing to miss");
+        for _ in 0..10 {
+            bus.publish("t.gap", None, Value::Null);
+        }
+        // The ring holds 7..=10.
+        let complete_after = |n| bus.subscribe_from(Some(n), KindFilter::all(), 8).1;
+        assert!(!complete_after(0), "1..=6 were evicted without a journal");
+        assert!(!complete_after(5), "6 was evicted");
+        assert!(complete_after(6), "the ring still holds 7");
+        assert!(complete_after(10), "the newest id: nothing after it yet");
+        assert!(!complete_after(11), "an id this bus never assigned");
+        assert!(bus.subscribe_from(None, KindFilter::all(), 8).1);
+
+        let dir = std::env::temp_dir().join(format!(
+            "mc-events-gap-{}-{}",
+            std::process::id(),
+            mathcloud_telemetry::next_request_id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bus = Bus::with_ring(4);
+        bus.attach_journal(&dir.join("journal.jsonl")).unwrap();
+        for _ in 0..10 {
+            bus.publish("t.gap", None, Value::Null);
+        }
+        let (backlog, complete, _sub) = bus.subscribe_from(Some(0), KindFilter::all(), 8);
+        assert!(complete, "the journal backs what the ring evicted");
+        assert_eq!(backlog.len(), 10);
+
+        // A journal attached late does not hold what was evicted before.
+        let bus = Bus::with_ring(4);
+        for _ in 0..10 {
+            bus.publish("t.gap", None, Value::Null);
+        }
+        bus.attach_journal(&dir.join("late.jsonl")).unwrap();
+        bus.publish("t.gap", None, Value::Null);
+        assert!(!bus.subscribe_from(Some(0), KindFilter::all(), 8).1);
+        assert!(bus.subscribe_from(Some(7), KindFilter::all(), 8).1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -677,7 +736,7 @@ mod tests {
         assert_eq!(bus.publish("t.jrnl", None, Value::Null), 7);
 
         // Resume from before the ring window: served from the journal.
-        let (backlog, _sub) = bus.subscribe_from(Some(1), KindFilter::all(), 8);
+        let (backlog, _, _sub) = bus.subscribe_from(Some(1), KindFilter::all(), 8);
         assert_eq!(
             backlog.iter().map(|e| e.id).collect::<Vec<_>>(),
             [2, 3, 4, 5, 6, 7]

@@ -1,6 +1,6 @@
 //! The container core: Service Manager + Job Manager.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -158,14 +158,44 @@ struct JobRecord {
     /// correlation (`X-MC-Request-Id`).
     request_id: Option<String>,
     submitted_at: Instant,
-    /// Monotonic rank assigned when the job reached a terminal state;
-    /// `None` while live. Terminal-retention eviction removes the lowest
-    /// ranks (oldest-settled) first.
+    /// Monotonic rank assigned when the job reached a terminal state
+    /// ([`Jobs::settle`]); `None` while live. Its key in [`Jobs::settled`].
     terminal_seq: Option<u64>,
 }
 
-/// Job records by `(service, job id)`.
-type Jobs = HashMap<(String, String), JobRecord>;
+/// Job records by `(service, job id)`, with the terminal ones indexed in
+/// the order they settled.
+#[derive(Default)]
+struct Jobs {
+    records: HashMap<(String, String), JobRecord>,
+    /// `terminal_seq` → key of every terminal record, oldest-settled first:
+    /// terminal-retention eviction pops from the front, so it costs
+    /// O(evicted), not a scan of every retained record.
+    settled: BTreeMap<u64, (String, String)>,
+    /// The next `terminal_seq` to assign.
+    next_seq: u64,
+}
+
+impl Jobs {
+    /// Ranks `key`'s record as the newest-settled terminal job. Every
+    /// transition into a terminal state calls this in the critical section
+    /// that applies it.
+    fn settle(&mut self, key: &(String, String)) {
+        if let Some(record) = self.records.get_mut(key) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            record.terminal_seq = Some(seq);
+            self.settled.insert(seq, key.clone());
+        }
+    }
+
+    /// Removes a record, and its rank when it has one.
+    fn remove(&mut self, key: &(String, String)) {
+        if let Some(seq) = self.records.remove(key).and_then(|r| r.terminal_seq) {
+            self.settled.remove(&seq);
+        }
+    }
+}
 
 /// Aggregate container statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -368,8 +398,6 @@ struct Shared {
     /// Maximum terminal job records retained; `usize::MAX` (the default)
     /// keeps everything. See [`Everest::set_terminal_retention`].
     retention: AtomicUsize,
-    /// Source of [`JobRecord::terminal_seq`] ranks.
-    next_terminal: AtomicU64,
 }
 
 impl Shared {
@@ -495,7 +523,7 @@ impl Everest {
         let shared = Arc::new(Shared {
             name: name.to_string(),
             services: RwLock::new(Vec::new()),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(Jobs::default()),
             job_done: Condvar::new(),
             files: Arc::new(FileStore::new()),
             next_job: AtomicU64::new(1),
@@ -506,7 +534,6 @@ impl Everest {
             keys: SingleFlight::default(),
             memo_enabled: AtomicBool::new(false),
             retention: AtomicUsize::new(usize::MAX),
-            next_terminal: AtomicU64::new(1),
         });
         let queue = Arc::new(JobQueue {
             state: Mutex::new(JobQueueState {
@@ -850,7 +877,8 @@ impl Everest {
                 },
             );
             let rep = representation_of(service, &job_id, &record);
-            jobs.insert((service.to_string(), job_id.clone()), record);
+            jobs.records
+                .insert((service.to_string(), job_id.clone()), record);
             rep
         };
         self.shared.stats.lock().submitted += 1;
@@ -903,7 +931,9 @@ impl Everest {
     /// The current representation of a job.
     pub fn representation(&self, service: &str, job_id: &str) -> Option<JobRepresentation> {
         let jobs = self.shared.jobs.lock();
-        let record = jobs.get(&(service.to_string(), job_id.to_string()))?;
+        let record = jobs
+            .records
+            .get(&(service.to_string(), job_id.to_string()))?;
         Some(representation_of(service, job_id, record))
     }
 
@@ -919,7 +949,7 @@ impl Everest {
         let deadline = Instant::now() + timeout;
         let mut jobs = self.shared.jobs.lock();
         loop {
-            match jobs.get(&key) {
+            match jobs.records.get(&key) {
                 None => return None,
                 Some(r) if r.state.is_terminal() => break,
                 Some(_) => {}
@@ -941,7 +971,7 @@ impl Everest {
     pub fn delete_job(&self, service: &str, job_id: &str) -> bool {
         let key = (service.to_string(), job_id.to_string());
         let mut jobs = self.shared.jobs.lock();
-        match jobs.get_mut(&key) {
+        match jobs.records.get_mut(&key) {
             None => false,
             Some(record) if record.state.is_terminal() => {
                 remove_terminal(&self.shared, &mut jobs, &key);
@@ -961,8 +991,6 @@ impl Everest {
                 };
                 let rid = record.request_id.clone();
                 record.state = JobState::Cancelled;
-                record.terminal_seq =
-                    Some(self.shared.next_terminal.fetch_add(1, Ordering::Relaxed));
                 self.shared.journal(
                     service,
                     job_id,
@@ -972,6 +1000,7 @@ impl Everest {
                         ..Default::default()
                     },
                 );
+                jobs.settle(&key);
                 self.shared.stats.lock().cancelled += 1;
                 self.shared.metrics.transition(from, "CANCELLED");
                 trace::info(
@@ -1016,7 +1045,8 @@ impl Everest {
     /// The request id recorded with a job at submission, if any.
     pub fn job_request_id(&self, service: &str, job_id: &str) -> Option<String> {
         let jobs = self.shared.jobs.lock();
-        jobs.get(&(service.to_string(), job_id.to_string()))?
+        jobs.records
+            .get(&(service.to_string(), job_id.to_string()))?
             .request_id
             .clone()
     }
@@ -1102,7 +1132,7 @@ impl Everest {
         let (mut waiting, mut running, mut done, mut failed, mut cancelled) = (0, 0, 0, 0, 0);
         {
             let jobs = self.shared.jobs.lock();
-            for record in jobs.values() {
+            for record in jobs.records.values() {
                 match record.state {
                     JobState::Waiting => waiting += 1,
                     JobState::Running => running += 1,
@@ -1183,7 +1213,7 @@ impl Everest {
                 let key = (r.service.clone(), r.job.clone());
                 // A live in-memory record wins over the journal: attaching
                 // to a warm container must not clobber current state.
-                if jobs.contains_key(&key) {
+                if jobs.records.contains_key(&key) {
                     continue;
                 }
                 if let Some(k) = &r.idem_key {
@@ -1205,7 +1235,7 @@ impl Everest {
                 }
                 let terminal = r.state.is_terminal();
                 let state = if terminal { r.state } else { JobState::Waiting };
-                jobs.insert(
+                jobs.records.insert(
                     key.clone(),
                     JobRecord {
                         state,
@@ -1216,10 +1246,12 @@ impl Everest {
                         runtime_ms: r.runtime_ms,
                         request_id: r.request_id.clone(),
                         submitted_at: Instant::now(),
-                        terminal_seq: terminal
-                            .then(|| self.shared.next_terminal.fetch_add(1, Ordering::Relaxed)),
+                        terminal_seq: None,
                     },
                 );
+                if terminal {
+                    jobs.settle(&key);
+                }
                 let kind = match state {
                     JobState::Done => "job.done",
                     JobState::Failed => "job.failed",
@@ -1392,27 +1424,15 @@ fn remove_terminal(shared: &Shared, jobs: &mut Jobs, key: &(String, String)) {
 /// Returns the evicted jobs, for [`release_evicted`].
 fn evict_excess(shared: &Shared, jobs: &mut Jobs) -> Vec<(String, String)> {
     let cap = shared.retention.load(Ordering::Relaxed);
-    if cap == usize::MAX {
-        return Vec::new();
-    }
-    // Borrow the keys and clone only the evicted ones: this runs on every
-    // settling transition, inside the jobs lock.
-    let mut terminal: Vec<(u64, &(String, String))> = jobs
-        .iter()
-        .filter_map(|(k, r)| r.terminal_seq.map(|ts| (ts, k)))
-        .collect();
-    if terminal.len() <= cap {
-        return Vec::new();
-    }
-    // Terminal sequence numbers are unique, so the order is total.
-    terminal.sort_unstable_by_key(|&(ts, _)| ts);
-    let excess = terminal.len() - cap;
-    let evicted: Vec<(String, String)> = terminal[..excess]
-        .iter()
-        .map(|&(_, key)| key.clone())
-        .collect();
-    for key in &evicted {
-        remove_terminal(shared, jobs, key);
+    let mut evicted = Vec::new();
+    // This runs on every settling transition, inside the jobs lock: pop
+    // the oldest-settled ranks instead of ranking every retained record.
+    while jobs.settled.len() > cap {
+        let Some((_, key)) = jobs.settled.pop_first() else {
+            break;
+        };
+        remove_terminal(shared, jobs, &key);
+        evicted.push(key);
     }
     evicted
 }
@@ -1454,7 +1474,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
     // Snapshot what we need, flipping the job to RUNNING.
     let (inputs, cancel, request_id) = {
         let mut jobs = shared.jobs.lock();
-        match jobs.get_mut(&key) {
+        match jobs.records.get_mut(&key) {
             None => return,                                    // deleted before starting
             Some(r) if r.state != JobState::Waiting => return, // cancelled while queued
             Some(r) => {
@@ -1535,10 +1555,9 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
 
     let mut jobs = shared.jobs.lock();
     let mut terminal: Option<(&'static str, Option<String>)> = None;
-    if let Some(record) = jobs.get_mut(&key) {
+    if let Some(record) = jobs.records.get_mut(&key) {
         record.runtime_ms = Some(runtime_ms);
         if record.state == JobState::Running {
-            record.terminal_seq = Some(shared.next_terminal.fetch_add(1, Ordering::Relaxed));
             match result {
                 Ok(outputs) => {
                     record.state = JobState::Done;
@@ -1586,6 +1605,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
     // Evict in the settling critical section, so no caller that sees this
     // job settle can act on a record the eviction is about to remove.
     let evicted = if terminal.is_some() {
+        jobs.settle(&key);
         evict_excess(shared, &mut jobs)
     } else {
         Vec::new()

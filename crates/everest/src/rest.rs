@@ -91,6 +91,13 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         // into the job record so adapter spans correlate with this call.
         let request_id = req.headers.get(trace::REQUEST_ID_HEADER);
         let idem_key = req.headers.get(mathcloud_http::IDEMPOTENCY_KEY_HEADER);
+        // Read before the job exists: every event of this job — or, for a
+        // deduplicated or memoized answer, every event the representation
+        // below does not already reflect — gets a larger id. Reading after
+        // the submission or the sync wait would break that: a job settling
+        // (or evicted) in between would publish its terminal event at or
+        // below the id, and a client resuming from it would wait forever.
+        let event_id = mathcloud_events::global().last_id();
         match e.submit_full(name, &body, Some(&caller), request_id, idem_key) {
             Ok(outcome) => {
                 let rep = outcome.rep;
@@ -105,7 +112,8 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
                     201
                 };
                 let mut resp = Response::json(status, &rep_to_wire(&e, req, name, rep))
-                    .with_header("Location", &location);
+                    .with_header("Location", &location)
+                    .with_header(mathcloud_http::EVENT_ID_HEADER, &event_id.to_string());
                 if outcome.deduplicated {
                     resp = resp.with_header("X-MC-Deduplicated", "true");
                 }
@@ -125,8 +133,13 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         move |req: &Request, p: &PathParams| {
             let name = p.get("name").expect("route has {name}");
             let id = p.get("id").expect("route has {id}");
+            // Read before the representation: any event of the job that the
+            // body does not reflect is published later, with a larger id
+            // (see the POST handler).
+            let event_id = mathcloud_events::global().last_id();
             match e.representation(name, id) {
-                Some(rep) => Response::json(200, &rep_to_wire(&e, req, name, rep)),
+                Some(rep) => Response::json(200, &rep_to_wire(&e, req, name, rep))
+                    .with_header(mathcloud_http::EVENT_ID_HEADER, &event_id.to_string()),
                 None => Response::error(404, "no such job"),
             }
         },

@@ -45,8 +45,8 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use message::{
-    BodyStream, Headers, Method, Request, Response, StatusCode, StreamControl,
-    IDEMPOTENCY_KEY_HEADER, MEMO_HIT_HEADER,
+    BodyStream, Headers, Method, Request, Response, StatusCode, StreamControl, EVENTS_GAP_HEADER,
+    EVENT_ID_HEADER, IDEMPOTENCY_KEY_HEADER, MEMO_HIT_HEADER,
 };
 pub use router::{PathParams, Router};
 pub use server::{Server, ServerConfig};

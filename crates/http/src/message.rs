@@ -19,6 +19,19 @@ pub const IDEMPOTENCY_KEY_HEADER: &str = "Idempotency-Key";
 /// freshly created one.
 pub const MEMO_HIT_HEADER: &str = "X-MC-Memo-Hit";
 
+/// The response header a container sets on job representations (`POST
+/// /services/{name}` and `GET /services/{name}/jobs/{id}`): the event-bus id
+/// read before the representation was. Every `job.*` event the body does not
+/// already reflect has a larger id, so a client that subscribes to
+/// `GET /events` with this value as `Last-Event-ID` misses none of them.
+pub const EVENT_ID_HEADER: &str = "X-MC-Event-Id";
+
+/// The response header `GET /events` sets (value `"true"`) when it could not
+/// replay everything after the requested `Last-Event-ID`: the replay ring has
+/// moved past it and no journal is attached. The client must look the state
+/// up another way (one status request) instead of trusting the stream.
+pub const EVENTS_GAP_HEADER: &str = "X-MC-Events-Gap";
+
 /// An HTTP request method.
 ///
 /// The MathCloud unified REST API (Table 1 of the paper) only needs `GET`,

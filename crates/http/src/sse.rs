@@ -7,7 +7,8 @@
 //! dead clients are detected and worker threads reclaimed. The client side
 //! is a minimal incremental `text/event-stream` reader used by
 //! `JobHandle::wait` and the workflow engine's `HttpCaller` to subscribe
-//! instead of polling.
+//! instead of polling — after the submission, resuming from the
+//! [`crate::EVENT_ID_HEADER`] its response carried.
 //!
 //! Wire format per event (one [`mathcloud_events::Envelope`] each):
 //!
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use mathcloud_events::{Bus, Envelope, KindFilter};
 
-use crate::message::{Method, Request, Response};
+use crate::message::{Method, Request, Response, EVENTS_GAP_HEADER};
 use crate::url::Url;
 use crate::wire;
 
@@ -56,7 +57,9 @@ fn write_event(w: &mut dyn Write, ev: &Envelope) -> io::Result<()> {
 /// * `after=...` — resume point for clients that cannot set headers.
 ///
 /// The standard `Last-Event-ID` request header takes precedence over
-/// `after`; both mean "replay everything newer than this id".
+/// `after`; both mean "replay everything newer than this id". When the bus
+/// can no longer replay all of that range, the response carries
+/// [`EVENTS_GAP_HEADER`] so the client knows to look its state up instead.
 pub fn events_response(req: &Request, bus: &'static Bus) -> Response {
     let filter = KindFilter::parse(&req.query("kinds").unwrap_or_default());
     let after: Option<u64> = req
@@ -77,8 +80,9 @@ pub fn events_response(req: &Request, bus: &'static Bus) -> Response {
     // here, before the response head is written, means a client that reads
     // the head and then submits a job gets every event of that job, however
     // late the streamer thread that relays them starts.
-    let (backlog, sub) = bus.subscribe_from(after, filter, mathcloud_events::DEFAULT_QUEUE);
-    Response::streaming(200, "text/event-stream", move |w, ctl| {
+    let (backlog, complete, sub) =
+        bus.subscribe_from(after, filter, mathcloud_events::DEFAULT_QUEUE);
+    let response = Response::streaming(200, "text/event-stream", move |w, ctl| {
         for ev in &backlog {
             write_event(w, ev)?;
         }
@@ -108,7 +112,12 @@ pub fn events_response(req: &Request, bus: &'static Bus) -> Response {
                 }
             }
         }
-    })
+    });
+    if complete {
+        response
+    } else {
+        response.with_header(EVENTS_GAP_HEADER, "true")
+    }
 }
 
 /// One parsed item from an event stream.
@@ -168,6 +177,10 @@ pub struct EventStream {
     reader: BufReader<TcpStream>,
     /// Highest event id seen, the value to resume with after a drop.
     pub last_id: Option<u64>,
+    /// The server could not replay everything after the requested
+    /// `Last-Event-ID` ([`EVENTS_GAP_HEADER`]): events in that range may be
+    /// missing from this stream, so state they carried must be fetched.
+    pub gap: bool,
 }
 
 /// Opens `GET /events` on `base`'s authority and returns the live stream.
@@ -220,6 +233,7 @@ pub fn subscribe(
     Ok(EventStream {
         reader,
         last_id: last_event_id,
+        gap: head.headers.get(EVENTS_GAP_HEADER).is_some(),
     })
 }
 
@@ -304,6 +318,7 @@ impl std::fmt::Debug for EventStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventStream")
             .field("last_id", &self.last_id)
+            .field("gap", &self.gap)
             .finish()
     }
 }
@@ -332,10 +347,10 @@ pub enum WatchResult {
 /// of `service`/`job_id`, resuming across dropped connections via
 /// `Last-Event-ID` until `deadline`.
 ///
-/// This is the push half of the subscribe-first/poll-fallback pattern shared
-/// by `JobHandle::wait` and the workflow `HttpCaller`: the caller issues its
-/// submit, calls this instead of a poll loop, and on success fetches the
-/// final representation with a single status request.
+/// This is the push half of the push/poll-fallback pattern shared by
+/// `JobHandle::wait` and the workflow `HttpCaller`: the caller calls this
+/// instead of a poll loop and, on success, fetches the final representation
+/// with a single status request.
 ///
 /// # Errors
 ///
@@ -353,10 +368,17 @@ pub fn watch_job(
 
 /// [`watch_job`] over an already-open stream.
 ///
-/// Subscribing *before* submitting the job and handing the stream here
-/// closes the race where a fast job publishes its terminal event between the
-/// submit response and a later subscription — such an event would otherwise
-/// be live-streamed to nobody, leaving the watcher blocked until `deadline`.
+/// The stream must not be able to miss the job's terminal event, or the
+/// watcher blocks until `deadline`. Either it resumes (`Last-Event-ID`)
+/// from the [`crate::EVENT_ID_HEADER`] of a job representation the caller
+/// already holds, and reports no [`EventStream::gap`]; or it was opened
+/// before the job was submitted, or before the caller last fetched the
+/// job's state.
+///
+/// One dropped connection is resumed after the last id seen. A resume the
+/// server cannot fully replay ([`EventStream::gap`]) ends the watch as
+/// [`WatchResult::Dropped`] at once, so the caller polls instead of waiting
+/// for an event that may already be gone.
 pub fn watch_job_on(
     base: &Url,
     mut stream: EventStream,
@@ -406,8 +428,8 @@ pub fn watch_job_on(
                     CONNECT_TIMEOUT,
                     DEFAULT_HEARTBEAT,
                 ) {
-                    Ok(s) => stream = s,
-                    Err(_) => return WatchResult::Dropped,
+                    Ok(s) if !s.gap => stream = s,
+                    Ok(_) | Err(_) => return WatchResult::Dropped,
                 }
             }
         }

@@ -115,9 +115,13 @@ pub trait ServiceCaller: Send + Sync {
     }
 }
 
-/// The production caller: POST to submit, then subscribe to the container's
-/// `GET /events` stream and wait for the job's terminal `job.*` event,
-/// falling back to the poll loop described in §2 of the paper when the
+/// The production caller: POST to submit, and return at once when the
+/// container answered within its synchronous window (§2) — the common case
+/// for workflow blocks, which then cost one request. A job outliving the
+/// POST is watched on the container's `GET /events` stream, resumed from
+/// the `X-MC-Event-Id` the POST response carried so no event of the job can
+/// be missed; its terminal `job.*` event triggers one status request for
+/// the outputs. The caller falls back to the poll loop of §2 when the
 /// server predates `/events` or the stream drops.
 #[derive(Debug, Clone)]
 pub struct HttpCaller {
@@ -178,18 +182,6 @@ impl ServiceCaller for HttpCaller {
             Some(rid) => req.with_header(trace::REQUEST_ID_HEADER, rid),
             None => req,
         };
-        // Subscribe *before* submitting: a fast job's terminal event can be
-        // published between the submit response and a later subscription,
-        // and a live-only stream would never replay it. An error here (old
-        // server, transport) simply leaves the poll loop to do all the work.
-        let push = mathcloud_http::sse::subscribe(
-            &base,
-            "job.",
-            None,
-            Duration::from_secs(10),
-            mathcloud_http::sse::DEFAULT_HEARTBEAT,
-        )
-        .ok();
         // Every engine call mints a fresh Idempotency-Key for its one
         // submission: the transport may now retry the POST on failure (the
         // container answers a replay with the original job), so a dropped
@@ -213,29 +205,57 @@ impl ServiceCaller for HttpCaller {
         }
         let mut rep =
             JobRepresentation::from_value(&submit.body_json().map_err(|e| e.to_string())?)?;
-        if let (Some(stream), false) = (push, rep.state.is_terminal()) {
-            if let Some(service) = mathcloud_http::sse::service_segment(&rep.uri) {
-                let deadline = std::time::Instant::now() + WATCH_WINDOW;
-                let watched = mathcloud_http::sse::watch_job_on(
-                    &base,
-                    stream,
-                    service,
-                    rep.id.as_str(),
-                    deadline,
-                );
-                if matches!(watched, mathcloud_http::sse::WatchResult::Terminal(_)) {
-                    // One refresh fetches the terminal representation with
-                    // its outputs; the loop below returns without polling.
-                    let poll_url = base.with_target(&rep.uri);
-                    let poll_req = attach(Request::new(Method::Get, &poll_url.target()));
-                    let resp = self
-                        .client
-                        .send(&poll_url, poll_req)
-                        .map_err(|e| e.to_string())?;
-                    if resp.status.is_success() {
-                        rep = JobRepresentation::from_value(
-                            &resp.body_json().map_err(|e| e.to_string())?,
-                        )?;
+        let fetch = |rep: &JobRepresentation| -> Result<JobRepresentation, String> {
+            let poll_url = base.with_target(&rep.uri);
+            let poll_req = attach(Request::new(Method::Get, &poll_url.target()));
+            let resp = self
+                .client
+                .send(&poll_url, poll_req)
+                .map_err(|e| e.to_string())?;
+            if !resp.status.is_success() {
+                return Err(format!("{} polling {}", resp.status, poll_url.target()));
+            }
+            JobRepresentation::from_value(&resp.body_json().map_err(|e| e.to_string())?)
+        };
+        // A job that finished inside the container's synchronous window is
+        // answered in full by the POST. Only a job outliving it is watched:
+        // the stream resumes after the event id the response carried, so
+        // every event the representation does not reflect is replayed.
+        let service = mathcloud_http::sse::service_segment(&rep.uri).map(str::to_string);
+        if let (false, Some(service)) = (rep.state.is_terminal(), service) {
+            let event_id = submit
+                .headers
+                .get(mathcloud_http::EVENT_ID_HEADER)
+                .and_then(|v| v.parse::<u64>().ok());
+            // An error (old server, transport) leaves the poll loop to do
+            // all the work.
+            if let Ok(stream) = mathcloud_http::sse::subscribe(
+                &base,
+                "job.",
+                event_id,
+                Duration::from_secs(10),
+                mathcloud_http::sse::DEFAULT_HEARTBEAT,
+            ) {
+                // Without a resume point (a server that sends no event id)
+                // or with events lost to the gap, one status request closes
+                // the race: anything after it reaches the open stream.
+                if event_id.is_none() || stream.gap {
+                    rep = fetch(&rep)?;
+                }
+                if !rep.state.is_terminal() {
+                    let deadline = std::time::Instant::now() + WATCH_WINDOW;
+                    let watched = mathcloud_http::sse::watch_job_on(
+                        &base,
+                        stream,
+                        &service,
+                        rep.id.as_str(),
+                        deadline,
+                    );
+                    if matches!(watched, mathcloud_http::sse::WatchResult::Terminal(_)) {
+                        // One refresh fetches the terminal representation
+                        // with its outputs; the loop below returns without
+                        // polling.
+                        rep = fetch(&rep)?;
                     }
                 }
             }
@@ -251,18 +271,7 @@ impl ServiceCaller for HttpCaller {
                 JobState::Cancelled => return Err("job was cancelled".to_string()),
                 JobState::Waiting | JobState::Running => {
                     std::thread::sleep(self.poll_interval);
-                    let poll_url = base.with_target(&rep.uri);
-                    let poll_req = attach(Request::new(Method::Get, &poll_url.target()));
-                    let resp = self
-                        .client
-                        .send(&poll_url, poll_req)
-                        .map_err(|e| e.to_string())?;
-                    if !resp.status.is_success() {
-                        return Err(format!("{} polling {}", resp.status, poll_url.target()));
-                    }
-                    rep = JobRepresentation::from_value(
-                        &resp.body_json().map_err(|e| e.to_string())?,
-                    )?;
+                    rep = fetch(&rep)?;
                 }
             }
         }

@@ -88,6 +88,12 @@ fn sse_subscribers_do_not_starve_the_pool() {
     .unwrap();
 
     let holders = SseHolders::start(&server.base_url(), workers + 4).expect("subscribe all");
+    // The server writes a stream's head before it hands the connection to
+    // a streamer thread, so a client can see the head first.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.live_streamers() < workers + 4 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert!(
         server.live_streamers() >= workers + 4,
         "streams should occupy streamer threads, not pool workers"

@@ -3,16 +3,18 @@
 //! execution, and publication of workflows as composite services (which can
 //! then appear inside *other* workflows, the paper's sub-workflow feature).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mathcloud_core::{Parameter, ServiceDescription};
 use mathcloud_everest::adapter::NativeAdapter;
 use mathcloud_everest::Everest;
+use mathcloud_http::{Method, Request};
 use mathcloud_json::value::Object;
 use mathcloud_json::{json, Schema, Value};
 use mathcloud_workflow::{
-    validate, Block, BlockKind, Engine, HttpCaller, HttpDescriptions, Workflow, WorkflowService,
+    validate, Block, BlockKind, Engine, HttpCaller, HttpDescriptions, ServiceCaller, Workflow,
+    WorkflowService,
 };
 
 fn math_server() -> (mathcloud_http::Server, String) {
@@ -193,4 +195,91 @@ fn json_round_trip_preserves_executability() {
         .into_iter()
         .collect();
     assert_eq!(engine.run(&inputs).unwrap().get("result"), Some(&json!(4)));
+}
+
+/// Every request one server answered, as `"METHOD /path"` (query dropped).
+type RequestLog = Arc<Mutex<Vec<String>>>;
+
+/// A container with an instant `echo` and a `pulse` that outlasts the
+/// 100 ms synchronous window, served behind a middleware that logs every
+/// request. The log is this server's own: the process-wide
+/// `mc_http_requests_total` counter also counts the sibling tests, which
+/// run concurrently.
+fn logged_server() -> (mathcloud_http::Server, String, RequestLog) {
+    let e = Everest::with_handlers("logged", 2);
+    for (name, nap) in [("echo", 0), ("pulse", 250)] {
+        e.deploy(
+            ServiceDescription::new(name, "echoes its input")
+                .input(Parameter::new("x", Schema::integer()))
+                .output(Parameter::new("x", Schema::integer())),
+            NativeAdapter::from_fn(move |inputs, _| {
+                std::thread::sleep(Duration::from_millis(nap));
+                let x = inputs.get("x").cloned().unwrap_or(Value::Null);
+                Ok([("x".to_string(), x)].into_iter().collect())
+            }),
+        );
+    }
+    let log = RequestLog::default();
+    let seen = Arc::clone(&log);
+    let mut router = mathcloud_everest::rest::router(e, None);
+    router.middleware(move |req: &mut Request| {
+        let path = req.target.split('?').next().unwrap_or_default();
+        seen.lock()
+            .unwrap()
+            .push(format!("{} {path}", req.method.as_str()));
+        None
+    });
+    let server = mathcloud_http::Server::bind("127.0.0.1:0", router).unwrap();
+    let base = server.base_url();
+    (server, base, log)
+}
+
+/// How many logged requests have this method and a path starting `prefix`.
+fn count(log: &RequestLog, method: Method, prefix: &str) -> usize {
+    let want = format!("{} {prefix}", method.as_str());
+    log.lock()
+        .unwrap()
+        .iter()
+        .filter(|r| r.starts_with(&want))
+        .count()
+}
+
+#[test]
+fn a_block_answered_by_its_post_opens_no_event_stream() {
+    let (_s, base, log) = logged_server();
+    let inputs: Object = [("x".to_string(), json!(5))].into_iter().collect();
+    let outputs = HttpCaller::new(Duration::from_millis(10))
+        .call(&format!("{base}/services/echo"), &inputs)
+        .unwrap();
+    assert_eq!(outputs.get("x"), Some(&json!(5)));
+    let requests = log.lock().unwrap().clone();
+    assert_eq!(
+        count(&log, Method::Post, "/services/echo"),
+        1,
+        "{requests:?}"
+    );
+    assert_eq!(count(&log, Method::Get, "/events"), 0, "{requests:?}");
+    assert_eq!(requests.len(), 1, "the POST answers in full: {requests:?}");
+}
+
+#[test]
+fn a_block_outliving_its_post_is_watched_on_one_stream() {
+    let (_s, base, log) = logged_server();
+    let inputs: Object = [("x".to_string(), json!(9))].into_iter().collect();
+    let outputs = HttpCaller::new(Duration::from_millis(10))
+        .call(&format!("{base}/services/pulse"), &inputs)
+        .unwrap();
+    assert_eq!(outputs.get("x"), Some(&json!(9)));
+    let requests = log.lock().unwrap().clone();
+    assert_eq!(
+        count(&log, Method::Post, "/services/pulse"),
+        1,
+        "{requests:?}"
+    );
+    assert_eq!(count(&log, Method::Get, "/events"), 1, "{requests:?}");
+    assert_eq!(
+        count(&log, Method::Get, "/services/pulse/jobs/"),
+        1,
+        "only the outputs fetch after the terminal event: {requests:?}"
+    );
 }
